@@ -1,6 +1,8 @@
 package annotadb
 
 import (
+	"fmt"
+	"math"
 	"time"
 
 	"annotadb/internal/correlate"
@@ -63,19 +65,27 @@ type CorrelateAnswer struct {
 // Correlate answers an anchor query: the top-k annotations most strongly
 // associated with the anchor token (an annotation or a data value), ranked
 // by confidence and lift and filtered by a chi-square significance test,
-// with candidates below minLift dropped. k <= 0 and minLift <= 0 apply the
-// defaults (10 and 1.0). The whole answer comes from one published snapshot
-// generation — identified by the returned ReadSeq — using a per-generation
-// index cached on the snapshot, so the query takes zero engine locks. A
-// sharded server merges its per-shard indexes at the returned seq vector; a
-// follower answers from its replica snapshot and reports the replication
+// with candidates below minLift dropped. k <= 0 applies the default of 10
+// and a negative minLift the default floor of 1.0; minLift 0 keeps every
+// significant candidate, negatively associated ones included. A NaN or
+// infinite minLift is an error. The whole answer comes from one published
+// snapshot generation — identified by the returned ReadSeq — using a
+// per-generation index cached on the snapshot, so the query takes zero
+// engine locks. That index is carried forward from the last generation
+// whose index was built: the first query after a publish scans only the
+// tuples appended since, and nothing at all after annotation-only writes.
+// A sharded server merges its per-shard indexes at the returned seq vector;
+// a follower answers from its replica snapshot and reports the replication
 // watermark.
 func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnswer, ReadSeq, error) {
+	if math.IsNaN(minLift) || math.IsInf(minLift, 0) {
+		return CorrelateAnswer{}, ReadSeq{}, fmt.Errorf("annotadb: correlate min lift %v is not a finite number", minLift)
+	}
 	q := correlate.Query{Anchor: anchor, K: k, MinLift: minLift}
 	if q.K <= 0 {
 		q.K = correlate.DefaultK
 	}
-	if q.MinLift <= 0 {
+	if q.MinLift < 0 {
 		q.MinLift = correlate.DefaultMinLift
 	}
 	if s.router != nil {
@@ -114,11 +124,15 @@ func (s *Server) Correlate(anchor string, k int, minLift float64) (CorrelateAnsw
 }
 
 // correlateIndex returns the snapshot's cached correlate index, building it
-// on the generation's first query and counting builds vs reuses.
+// on the generation's first query and counting builds (full scans among
+// them) vs reuses.
 func (s *Server) correlateIndex(snap *serve.Snapshot) *correlate.Index {
 	idx, built := snap.Correlate.Get(snap.View)
 	if built {
 		s.correlateBuilds.Add(1)
+		if idx.FullScan() {
+			s.correlateFullScans.Add(1)
+		}
 	} else {
 		s.correlateHits.Add(1)
 	}
@@ -155,6 +169,12 @@ type CorrelateStats struct {
 	// sharded server both count per shard index.
 	IndexBuilds uint64
 	CacheHits   uint64
+	// FullScans counts the IndexBuilds that scanned the whole relation;
+	// the rest carried an earlier generation's index forward and scanned
+	// only the tuples appended since. It stays flat once the first build
+	// has started: one per unsharded core (per shard when sharded, per
+	// bootstrap on a follower).
+	FullScans uint64
 	// Anomalies counts churn_anomaly events emitted by the detector;
 	// DetectorRunning reports whether one is running.
 	Anomalies       uint64
@@ -166,6 +186,7 @@ func (s *Server) CorrelateStats() CorrelateStats {
 	cs := CorrelateStats{
 		IndexBuilds: s.correlateBuilds.Load(),
 		CacheHits:   s.correlateHits.Load(),
+		FullScans:   s.correlateFullScans.Load(),
 	}
 	if s.detector != nil {
 		cs.Anomalies = s.detector.Anomalies()

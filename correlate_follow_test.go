@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"annotadb"
+	"annotadb/internal/httpapi"
 )
 
 // correlateKeys renders an answer as comparable strings.
@@ -92,5 +94,66 @@ func TestFollowerCorrelateMatchesPrimary(t *testing.T) {
 	}
 	if rep.LagMillis < 0 || rep.LagMillis > 60_000 {
 		t.Fatalf("replication lag_ms = %d, want fresh non-negative wall-clock lag", rep.LagMillis)
+	}
+}
+
+// TestFollowerCorrelateRebootstrapRescans: on one follower core every
+// generation after the first query carries its correlate index forward
+// (full scans stay at one across an append), and a re-bootstrap onto a
+// restarted primary starts a new lineage — its first query scans the new
+// core's relation instead of extending the old core's index — while the
+// answers keep matching the primary.
+func TestFollowerCorrelateRebootstrapRescans(t *testing.T) {
+	primary, sh, ts, dir := startPrimary(t)
+	fol := startFollower(t, ts.URL, annotadb.ServeOptions{BatchWindow: -1})
+	ctx := context.Background()
+
+	match := func(stage string, p *annotadb.Server) {
+		t.Helper()
+		for _, anchor := range []string{"Annot_1", "28", "85"} {
+			want, _, err := p.Correlate(anchor, 0, 0)
+			if err != nil {
+				t.Fatalf("%s primary anchor %q: %v", stage, anchor, err)
+			}
+			got, _, err := fol.Correlate(anchor, 0, 0)
+			if err != nil {
+				t.Fatalf("%s follower anchor %q: %v", stage, anchor, err)
+			}
+			if !reflect.DeepEqual(correlateKeys(got), correlateKeys(want)) {
+				t.Fatalf("%s anchor %q diverged:\nfollower %v\nprimary  %v", stage, anchor, correlateKeys(got), correlateKeys(want))
+			}
+		}
+	}
+	match("seed", primary)
+	rep, err := primary.AddTuples(ctx, []annotadb.TupleSpec{{Values: []string{"28", "85"}, Annotations: []string{"Annot_1"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFollowerSeq(t, fol, rep.Seq)
+	match("after append", primary)
+	if cs := fol.CorrelateStats(); cs.FullScans != 1 || cs.IndexBuilds < 2 {
+		t.Fatalf("follower correlate stats before restart = %+v, want 1 full scan of >= 2 builds", cs)
+	}
+	st0 := fol.Replication()
+
+	sh.swap(nil)
+	closeServer(t, primary)
+	primary2 := openPrimary(t, dir)
+	defer closeServer(t, primary2)
+	sh.swap(httpapi.New(primary2, context.Background()))
+	rep, err = primary2.AddAnnotations(ctx, []annotadb.AnnotationUpdate{{Tuple: 6, Annotation: "Annot_1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for st := fol.Replication(); st.RunID == st0.RunID || st.Seq < rep.Seq; st = fol.Replication() {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never adopted the restarted primary: %+v (was %+v)", st, st0)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	match("after re-bootstrap", primary2)
+	if cs := fol.CorrelateStats(); cs.FullScans != 2 {
+		t.Fatalf("follower correlate stats after re-bootstrap = %+v, want exactly one more full scan", cs)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -288,5 +289,65 @@ burst:
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("replay of the anomaly cursor timed out")
+	}
+}
+
+// TestCorrelateMinLiftFacade: an explicit minLift of 0 is honored (the
+// significant negatively associated candidate comes back), a negative
+// minLift applies the default floor, and NaN or ±Inf is rejected instead
+// of silently switching the lift filter off.
+func TestCorrelateMinLiftFacade(t *testing.T) {
+	ds := NewDataset()
+	// 28 sits on tuples 0-19, Annot_pos on 0-17, Annot_neg on 18-37: Annot_neg
+	// co-occurs with 28 twice (lift 0.2, chi-square 25.6).
+	for i := 0; i < 40; i++ {
+		values := []string{fmt.Sprintf("v%d", i%3)}
+		if i < 20 {
+			values = append(values, "28")
+		}
+		var annots []string
+		if i < 18 {
+			annots = append(annots, "Annot_pos")
+		}
+		if i >= 18 && i < 38 {
+			annots = append(annots, "Annot_neg")
+		}
+		if _, err := ds.AddTuple(values, annots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := NewEngine(ds, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(eng, ServeOptions{BatchWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeServer(t, srv)
+
+	has := func(minLift float64, token string) bool {
+		t.Helper()
+		ans, _, err := srv.Correlate("28", 0, minLift)
+		if err != nil {
+			t.Fatalf("Correlate(28, 0, %v): %v", minLift, err)
+		}
+		for _, r := range ans.Results {
+			if r.Token == token {
+				return true
+			}
+		}
+		return false
+	}
+	if !has(0, "Annot_neg") {
+		t.Fatal("minLift 0 dropped the negatively associated candidate")
+	}
+	if has(-1, "Annot_neg") || !has(-1, "Annot_pos") {
+		t.Fatal("negative minLift did not apply the default floor of 1")
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := srv.Correlate("28", 0, bad); err == nil {
+			t.Errorf("Correlate(28, 0, %v) succeeded, want an error", bad)
+		}
 	}
 }

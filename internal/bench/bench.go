@@ -1,9 +1,9 @@
 // Package bench defines the experiment harness that regenerates the paper's
-// evaluation artifacts (DESIGN.md §3, experiments E1–E10). Each experiment
-// produces a table in the shape of the corresponding paper figure; absolute
-// timings differ from the paper's 2015 Java implementation, but the
-// comparisons — who wins, by what factor, where growth explodes — are the
-// reproduction targets.
+// evaluation artifacts (experiments E1–E10, plus the E11–E15 extensions,
+// registered in All). Each experiment produces a table in the shape of the
+// corresponding paper figure; absolute timings differ from the paper's 2015
+// Java implementation, but the comparisons — who wins, by what factor, where
+// growth explodes — are the reproduction targets.
 //
 // The harness is used by cmd/annotbench (pretty tables, EXPERIMENTS.md) and
 // smoke-tested in-package; the matching testing.B microbenchmarks live in

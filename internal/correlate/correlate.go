@@ -12,7 +12,12 @@
 // annotation inverted index and frequency table — so a query takes zero
 // engine locks. An Index caches the one derived structure a View lacks (the
 // data-value inverted index) and is itself cached per snapshot generation by
-// Lazy, built on the first query and dropped wholesale at the next publish.
+// Lazy, built on the generation's first query. Because tuples are
+// append-only and their data values never change, that build carries the
+// previous generation's index forward instead of rescanning: it shares the
+// postings outright when no tuples were appended and scans only the
+// appended tuples otherwise, so the index, like the rules, is
+// maintained by delta rather than re-mined.
 //
 // Churn-anomaly detection (detector.go) watches the rule-churn event stream
 // for per-family spikes against an EWMA baseline and publishes them back
@@ -129,30 +134,107 @@ type Answer struct {
 // data-value inverted index the relation itself does not maintain (the
 // paper's §4.3 index covers annotations only). Everything else a query
 // needs — annotation postings, frequencies, N — is served straight from
-// the View. An Index is immutable after NewIndex and safe for concurrent
-// queries.
+// the View. An Index is immutable once built and safe for concurrent
+// queries; the posting slices may be shared with the indexes of other
+// generations of the same relation, which never write into them.
 type Index struct {
 	view *relation.View
 	n    int
-	// dataPostings maps each data-value item to the ascending tuple
+	// dataPostings holds, at each data-value item's ID, the ascending tuple
 	// positions containing it, mirroring View.TuplesWith for annotations.
-	dataPostings map[itemset.Item][]int
+	dataPostings []blocks
+	// fullScan records whether the build scanned the whole relation.
+	fullScan bool
+}
+
+// postingBlock is the block size of a data-value posting list: extending a
+// list another index shares copies only its block spine and its last block,
+// never the positions in full blocks.
+const postingBlock = 256
+
+// blocks is one data value's ascending tuple positions, split into blocks
+// of postingBlock positions (the last may be partial). Full blocks are
+// immutable and shared by every index carried forward from the one that
+// filled them.
+type blocks [][]int
+
+// flatten returns the positions as one slice, copying only when they span
+// more than one block.
+func (b blocks) flatten() []int {
+	switch len(b) {
+	case 0:
+		return nil
+	case 1:
+		return b[0]
+	}
+	out := make([]int, 0, (len(b)-1)*postingBlock+len(b[len(b)-1]))
+	for _, blk := range b {
+		out = append(out, blk...)
+	}
+	return out
 }
 
 // NewIndex builds the index with one O(N) scan over the view.
 func NewIndex(view *relation.View) *Index {
-	idx := &Index{
+	return &Index{
 		view:         view,
 		n:            view.Len(),
-		dataPostings: make(map[itemset.Item][]int),
+		dataPostings: appendPostings(nil, view, 0),
+		fullScan:     true,
 	}
-	view.Each(func(i int, t relation.Tuple) bool {
+}
+
+// carry builds view's index from base, an index over an earlier generation
+// of the same relation. Tuples are append-only and their data values never
+// change, so base's postings are a prefix of view's: with no tuples
+// appended since base they are shared as is (O(1)), otherwise only the
+// tuples at [base.N(), view.Len()) are scanned. A nil base, or one that
+// cannot be an earlier generation of view's relation (another dictionary,
+// a newer version, more tuples), falls back to NewIndex.
+func carry(base *Index, view *relation.View) *Index {
+	if base == nil || base.view.Dictionary() != view.Dictionary() ||
+		base.view.Version() > view.Version() || base.n > view.Len() {
+		return NewIndex(view)
+	}
+	postings := base.dataPostings
+	if view.Len() > base.n {
+		postings = appendPostings(postings, view, base.n)
+	}
+	return &Index{view: view, n: view.Len(), dataPostings: postings}
+}
+
+// appendPostings returns base extended with the data values of view's
+// tuples at positions [from, view.Len()). It never writes into a backing
+// array base can reach: the first append to each list copies its block
+// spine and caps its last block with a full slice expression, so that
+// block is copied too before it grows, and sibling generations that extend
+// one base stay independent. The result is sized by the dictionary's
+// data-value count, read after view was captured, so every ID view holds
+// fits.
+func appendPostings(base []blocks, view *relation.View, from int) []blocks {
+	out := make([]blocks, view.Dictionary().CountOf(relation.KindData)+1)
+	copy(out, base)
+	owned := make([]bool, len(out))
+	view.EachFrom(from, func(i int, t relation.Tuple) bool {
 		for _, it := range t.Data {
-			idx.dataPostings[it] = append(idx.dataPostings[it], i)
+			id := it.ID()
+			b := out[id]
+			if !owned[id] {
+				owned[id] = true
+				b = append(blocks(nil), b...)
+				if n := len(b); n > 0 {
+					b[n-1] = b[n-1][:len(b[n-1]):len(b[n-1])]
+				}
+			}
+			if n := len(b); n == 0 || len(b[n-1]) == postingBlock {
+				b = append(b, nil)
+			}
+			b[len(b)-1] = append(b[len(b)-1], i)
+			out[id] = b
 		}
 		return true
 	})
-	return idx
+	return out
 }
 
 // View returns the frozen generation the index was built over.
@@ -161,6 +243,11 @@ func (idx *Index) View() *relation.View { return idx.view }
 // N returns the tuple count of the indexed generation.
 func (idx *Index) N() int { return idx.n }
 
+// FullScan reports whether the index was built by an O(N) scan of the
+// whole relation (NewIndex) rather than carried forward from an earlier
+// generation's index.
+func (idx *Index) FullScan() bool { return idx.fullScan }
+
 // anchorPostings resolves an anchor token to its ascending tuple positions
 // in this generation, or ErrUnknownAnchor.
 func (idx *Index) anchorPostings(token string) ([]int, error) {
@@ -168,16 +255,16 @@ func (idx *Index) anchorPostings(token string) ([]int, error) {
 	if !ok {
 		return nil, ErrUnknownAnchor
 	}
-	if it.IsData() {
-		if p := idx.dataPostings[it]; len(p) > 0 {
-			return p, nil
-		}
+	var p []int
+	if !it.IsData() {
+		p = idx.view.TuplesWith(it)
+	} else if id := it.ID(); id < len(idx.dataPostings) {
+		p = idx.dataPostings[id].flatten()
+	}
+	if len(p) == 0 {
 		return nil, ErrUnknownAnchor
 	}
-	if p := idx.view.TuplesWith(it); len(p) > 0 {
-		return p, nil
-	}
-	return nil, ErrUnknownAnchor
+	return p, nil
 }
 
 // score computes the association statistics of one candidate against the
@@ -236,24 +323,18 @@ func (idx *Index) TopK(q Query) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
-	counts := make(map[itemset.Item]int)
-	for _, p := range postings {
-		t, terr := idx.view.Tuple(p)
-		if terr != nil {
-			return Answer{}, terr
-		}
-		for _, a := range t.Annots {
-			counts[a]++
-		}
+	c, err := countAlong(idx.view, postings)
+	if err != nil {
+		return Answer{}, err
 	}
 	dict := idx.view.Dictionary()
-	results := make([]Result, 0, len(counts))
-	for cand, co := range counts {
+	results := make([]Result, 0, len(c.seen))
+	for _, cand := range c.seen {
 		token := dict.Token(cand)
 		if token == q.Anchor {
 			continue
 		}
-		results = append(results, scoreCandidate(token, co, len(postings), idx.view.Frequency(cand), idx.n, q.MinLift)...)
+		results = append(results, scoreCandidate(token, c.of(cand), len(postings), idx.view.Frequency(cand), idx.n, q.MinLift)...)
 	}
 	return Answer{
 		Anchor:      q.Anchor,
@@ -261,6 +342,50 @@ func (idx *Index) TopK(q Query) (Answer, error) {
 		N:           idx.n,
 		Results:     rank(results, q.K),
 	}, nil
+}
+
+// cooccurrences holds the annotation counts along one anchor's postings in
+// dense per-kind slices indexed by Item.ID — raw annotations and derived
+// labels have separate ID spaces — plus the candidates in first-seen order.
+type cooccurrences struct {
+	annot, derived []int
+	seen           []itemset.Item
+}
+
+// slot returns the counter cell of annotation a.
+func (c *cooccurrences) slot(a itemset.Item) *int {
+	if a.IsDerived() {
+		return &c.derived[a.ID()]
+	}
+	return &c.annot[a.ID()]
+}
+
+// of returns the co-occurrence count of annotation a.
+func (c *cooccurrences) of(a itemset.Item) int { return *c.slot(a) }
+
+// countAlong counts every annotation of view's tuples at positions. The
+// slices are sized by the dictionary's per-kind counts, read after the
+// view was captured, so every ID the view holds fits.
+func countAlong(view *relation.View, positions []int) (cooccurrences, error) {
+	dict := view.Dictionary()
+	c := cooccurrences{
+		annot:   make([]int, dict.CountOf(relation.KindAnnotation)+1),
+		derived: make([]int, dict.CountOf(relation.KindDerived)+1),
+	}
+	for _, p := range positions {
+		t, err := view.Tuple(p)
+		if err != nil {
+			return cooccurrences{}, err
+		}
+		for _, a := range t.Annots {
+			n := c.slot(a)
+			if *n == 0 {
+				c.seen = append(c.seen, a)
+			}
+			*n++
+		}
+	}
+	return c, nil
 }
 
 // scoreCandidate scores one candidate and applies the significance and
@@ -336,24 +461,18 @@ func TopKMerged(idxs []*Index, q Query) (Answer, error) {
 	}
 	var results []Result
 	for _, idx := range idxs {
-		counts := make(map[itemset.Item]int)
-		for _, p := range postings {
-			t, terr := idx.view.Tuple(p)
-			if terr != nil {
-				return Answer{}, terr
-			}
-			for _, a := range t.Annots {
-				counts[a]++
-			}
+		c, err := countAlong(idx.view, postings)
+		if err != nil {
+			return Answer{}, err
 		}
 		dict := idx.view.Dictionary()
-		for cand, co := range counts {
+		for _, cand := range c.seen {
 			token := dict.Token(cand)
 			if token == q.Anchor {
 				continue
 			}
 			freqC := len(clampBelow(idx.view.TuplesWith(cand), minN))
-			results = append(results, scoreCandidate(token, co, len(postings), freqC, minN, q.MinLift)...)
+			results = append(results, scoreCandidate(token, c.of(cand), len(postings), freqC, minN, q.MinLift)...)
 		}
 	}
 	return Answer{

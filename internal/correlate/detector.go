@@ -214,10 +214,13 @@ func (d *Detector) run(ctx context.Context, sub *stream.Subscription) {
 					Baseline:     a.baseline,
 					Related:      a.related,
 				}
+				// Count before publishing, so a subscriber that has seen
+				// the event never reads a count that misses it.
+				d.anomalies.Add(1)
 				if err := d.broker.Publish(d.opts.Shard, d.seqFn(), []stream.Event{ev}); err != nil {
+					d.anomalies.Add(^uint64(0))
 					return
 				}
-				d.anomalies.Add(1)
 			}
 		}
 	}

@@ -1,11 +1,16 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
+
+	"annotadb"
 )
 
 // correlateBody is the decoded /correlate response.
@@ -214,5 +219,144 @@ func TestStatsCorrelateSection(t *testing.T) {
 	}
 	if stats.Correlate.DetectorRunning {
 		t.Fatal("detector reported running without CorrelateOptions.Anomalies")
+	}
+}
+
+// negativeServer serves a fixture with one significant negative
+// association: data value 28 sits on tuples 0-19, Annot_pos on 0-17, and
+// Annot_neg on 18-37, so Annot_neg co-occurs with 28 only twice (lift 0.2,
+// chi-square 25.6).
+func negativeServer(t *testing.T) (*httptest.Server, *annotadb.Server) {
+	t.Helper()
+	ds := annotadb.NewDataset()
+	for i := 0; i < 40; i++ {
+		values := []string{"v" + strconv.Itoa(i%3)}
+		if i < 20 {
+			values = append(values, "28")
+		}
+		var annots []string
+		if i < 18 {
+			annots = append(annots, "Annot_pos")
+		}
+		if i >= 18 && i < 38 {
+			annots = append(annots, "Annot_neg")
+		}
+		if _, err := ds.AddTuple(values, annots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng, err := annotadb.NewEngine(ds, annotadb.Options{MinSupport: 0.3, MinConfidence: 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := annotadb.NewServer(eng, annotadb.ServeOptions{BatchWindow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(srv, context.Background()))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	return ts, srv
+}
+
+// getCorrelate decodes one 200 /correlate response.
+func getCorrelate(t *testing.T, url string) correlateBody {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d, want 200", url, resp.StatusCode)
+	}
+	var body correlateBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return body
+}
+
+// TestCorrelateExplicitZeroMinLift: min_lift=0 is honored, not replaced by
+// the default floor of 1, so significant negatively associated candidates
+// come back; leaving it unset keeps them out.
+func TestCorrelateExplicitZeroMinLift(t *testing.T) {
+	ts, _ := negativeServer(t)
+	tokens := func(b correlateBody) map[string]bool {
+		out := map[string]bool{}
+		for _, r := range b.Results {
+			out[r.Token] = true
+		}
+		return out
+	}
+	def := getCorrelate(t, ts.URL+"/correlate?anchor=28")
+	if got := tokens(def); !got["Annot_pos"] || got["Annot_neg"] || def.MinLift != 1 {
+		t.Fatalf("default floor: min_lift %v results %+v, want Annot_pos without Annot_neg", def.MinLift, def.Results)
+	}
+	zero := getCorrelate(t, ts.URL+"/correlate?anchor=28&min_lift=0")
+	if !tokens(zero)["Annot_neg"] || zero.MinLift != 0 {
+		t.Fatalf("min_lift=0: min_lift %v results %+v, want Annot_neg included", zero.MinLift, zero.Results)
+	}
+	for _, r := range zero.Results {
+		if r.Token == "Annot_neg" && (r.Count != 2 || r.Lift >= 1 || r.ChiSquare < 3.841) {
+			t.Fatalf("Annot_neg = %+v, want count 2, lift < 1, significant", r)
+		}
+	}
+	for _, bad := range []string{"NaN", "Inf", "-Inf"} {
+		resp, err := http.Get(ts.URL + "/correlate?anchor=28&min_lift=" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("min_lift=%s = %d, want 400", bad, resp.StatusCode)
+		}
+		if code := decodeErrorCode(t, resp); code != CodeInvalidArgument {
+			t.Errorf("min_lift=%s error code %q, want %q", bad, code, CodeInvalidArgument)
+		}
+	}
+}
+
+// TestStatsCorrelateFullScansStayFlat: after the first query's full scan,
+// later generations carry the index forward — across an annotation write
+// and a tuple append alike — so index_builds grows while full_scans stays
+// at one.
+func TestStatsCorrelateFullScansStayFlat(t *testing.T) {
+	ts, srv := negativeServer(t)
+	ctx := context.Background()
+	getCorrelate(t, ts.URL+"/correlate?anchor=28")
+	if _, err := srv.AddAnnotations(ctx, []annotadb.AnnotationUpdate{{Tuple: 39, Annotation: "Annot_pos"}}); err != nil {
+		t.Fatal(err)
+	}
+	getCorrelate(t, ts.URL+"/correlate?anchor=28")
+	if _, err := srv.AddTuples(ctx, []annotadb.TupleSpec{{Values: []string{"28", "late"}, Annotations: []string{"Annot_neg"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := getCorrelate(t, ts.URL+"/correlate?anchor=late&min_lift=0"); got.AnchorCount != 1 || got.N != 41 {
+		t.Fatalf("appended data anchor: count %d n %d, want 1 / 41", got.AnchorCount, got.N)
+	}
+
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Correlate *struct {
+			IndexBuilds uint64 `json:"index_builds"`
+			FullScans   uint64 `json:"full_scans"`
+			CacheHits   uint64 `json:"cache_hits"`
+		} `json:"correlate"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if c := stats.Correlate; c == nil || c.IndexBuilds != 3 || c.FullScans != 1 || c.CacheHits != 0 {
+		t.Fatalf("correlate stats = %+v, want 3 builds, 1 full scan, 0 cache hits", c)
 	}
 }

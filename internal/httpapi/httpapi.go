@@ -701,9 +701,11 @@ func (a *api) stats(w http.ResponseWriter, r *http.Request) {
 	}
 	if cs := a.srv.CorrelateStats(); cs.IndexBuilds > 0 || cs.CacheHits > 0 || cs.DetectorRunning {
 		// The correlation-discovery subsystem: per-generation index builds
-		// vs cache reuse, and the churn-anomaly detector's emission count.
+		// (and how many of them scanned the whole relation) vs cache reuse,
+		// and the churn-anomaly detector's emission count.
 		body["correlate"] = map[string]any{
 			"index_builds":     cs.IndexBuilds,
+			"full_scans":       cs.FullScans,
 			"cache_hits":       cs.CacheHits,
 			"anomalies":        cs.Anomalies,
 			"detector_running": cs.DetectorRunning,

@@ -797,6 +797,10 @@ func (s *Server) publish() {
 		}
 	}
 	prev := s.snap.Load()
+	var lineage *correlate.Lazy
+	if prev != nil {
+		lineage = prev.Correlate
+	}
 	snap := &Snapshot{
 		Seq:                 s.seq.Add(1),
 		N:                   es.N,
@@ -809,7 +813,7 @@ func (s *Server) publish() {
 		Compiled:            predict.Compile(es.Rules, s.cfg.Recommend),
 		Attachments:         attachments,
 		DistinctAnnotations: distinct,
-		Correlate:           &correlate.Lazy{},
+		Correlate:           lineage.Next(),
 	}
 	s.snap.Store(snap)
 	if s.cfg.Stream != nil && prev != nil {

@@ -48,7 +48,8 @@ type Snapshot struct {
 	Attachments         int
 	DistinctAnnotations int
 	// Correlate caches this generation's correlate index: built lazily by
-	// the first /correlate query against the snapshot, unreachable (and so
-	// invalidated) as soon as the next publish swaps the snapshot out.
+	// the first /correlate query against the snapshot, carried forward
+	// from the newest index already built in this core's lineage (publish
+	// links it to the previous snapshot's cache with a pointer copy).
 	Correlate *correlate.Lazy
 }

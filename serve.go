@@ -122,10 +122,12 @@ type Server struct {
 	// detector is the churn-anomaly detector (nil unless
 	// CorrelateOptions.Anomalies); closeStream stops it before sealing the
 	// broker it both consumes and publishes to. correlateBuilds and
-	// correlateHits count per-generation correlate index builds vs reuses.
-	detector        *correlate.Detector
-	correlateBuilds atomic.Uint64
-	correlateHits   atomic.Uint64
+	// correlateHits count per-generation correlate index builds vs reuses;
+	// correlateFullScans counts the builds that scanned the whole relation.
+	detector           *correlate.Detector
+	correlateBuilds    atomic.Uint64
+	correlateHits      atomic.Uint64
+	correlateFullScans atomic.Uint64
 
 	// rendered memoizes the token-rendered rules of one snapshot, so that
 	// serving GET /rules-style reads does not re-resolve dictionary tokens
